@@ -6,7 +6,7 @@
 #   ./ci.sh build test   # run only the named stages, in the given order
 #
 # Stages: build test lint determinism obs data throughput hierarchy serving
-#         telemetry workflow jobserver
+#         telemetry workflow jobserver bench
 set -eu
 
 STAGE_NAMES=""
@@ -162,10 +162,10 @@ stage_hierarchy() {
 stage_serving() {
     # Readiness-driven serving-core gate: the adversarial reactor suite
     # (byte-trickled frames, slow-loris under a single worker, mid-frame
-    # disconnect pruning, hostile length prefixes, the pooled server's
-    # conn-map regression) at both thread widths, then the quick throughput
-    # run whose idle-connection sweep self-checks that foreground rps holds
-    # across a held herd and that the process thread count stays flat.
+    # disconnect pruning, hostile length prefixes) at both thread widths,
+    # then the quick throughput run whose idle-connection sweep self-checks
+    # that foreground rps holds across a held herd and that the process
+    # thread count stays flat.
     (set -x
      RAYON_NUM_THREADS=1 cargo test -q -p diet-core --test reactor_adversarial
      RAYON_NUM_THREADS=4 cargo test -q -p diet-core --test reactor_adversarial
@@ -231,7 +231,26 @@ stage_jobserver() {
      grep -q '"failed": 0' target/experiments/BENCH_jobserver_quick.json)
 }
 
-ALL_STAGES="build test lint determinism obs data throughput hierarchy serving telemetry workflow jobserver"
+stage_bench() {
+    # Repository-benchmark gate: compile perfbench against the crates'
+    # public API (--locked fails if a crate change would rewrite
+    # perfbench/Cargo.lock), then a short run of the two middleware-bound
+    # workloads. Each run's last line must report "correct": true and zero
+    # failed operations.
+    (set -x; cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml)
+    mkdir -p target/experiments
+    for workload in rpc_overhead task_burst; do
+        out="target/experiments/bench_$workload.out"
+        (set -x; bash perfbench/run.sh --workload "$workload" --seed 1 --seconds 3 --trace 0 > "$out")
+        last=$(tail -n 1 "$out")
+        case "$last" in
+            *'"correct": true'*'"failed": 0,'*) echo "bench $workload: ok" ;;
+            *) echo "bench $workload: incorrect or failed ops: $last" >&2; exit 1 ;;
+        esac
+    done
+}
+
+ALL_STAGES="build test lint determinism obs data throughput hierarchy serving telemetry workflow jobserver bench"
 if [ $# -eq 0 ]; then
     # shellcheck disable=SC2086 # stage list is a word list by design
     set -- $ALL_STAGES

@@ -16,9 +16,10 @@
 use bench::{render_series, series_csv, validate_json, write_artifact};
 use cosmogrid::campaign::gantt_from_spans;
 use cosmogrid::namelist::default_run_namelist;
-use cosmogrid::services::{cosmology_service_table, serve_sed_over_tcp, status, zoom1_profile};
+use cosmogrid::services::{cosmology_service_table, status, zoom1_profile};
 use diet_core::agent::{AgentNode, HeartbeatMonitor, MasterAgent};
 use diet_core::client::{DietClient, RetryPolicy};
+use diet_core::hierarchy::serve_sed_over_tcp;
 use diet_core::sched::RoundRobin;
 use diet_core::sed::{SedConfig, SedHandle};
 use diet_core::transport::TcpSedPool;

@@ -23,10 +23,10 @@
 //! and exits non-zero if any gate fails. `--quick` shrinks the workload
 //! for the CI gate.
 
-use cosmogrid::services::serve_sed_over_tcp_with_config;
 use diet_core::client::RetryPolicy;
 use diet_core::data::{DietValue, Persistence};
 use diet_core::deploy::{TcpTopologySpec, TelemetrySpec};
+use diet_core::hierarchy::serve_sed_over_tcp_with_config;
 use diet_core::profile::{ArgTag, Profile, ProfileDesc};
 use diet_core::sched::RoundRobin;
 use diet_core::sed::{SedConfig, SedHandle, ServiceTable, SolveFn};

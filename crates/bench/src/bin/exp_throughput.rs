@@ -33,11 +33,11 @@
 //! run loses/times-out requests, or the idle sweep violates its rps/thread
 //! bounds. `--quick` shrinks the sweep for the CI gate.
 
-use cosmogrid::services::serve_sed_over_tcp_with_config;
 use diet_core::client::RetryPolicy;
 use diet_core::codec::Message;
 use diet_core::data::{DietValue, Persistence};
 use diet_core::error::DietError;
+use diet_core::hierarchy::serve_sed_over_tcp_with_config;
 use diet_core::profile::{ArgTag, Profile, ProfileDesc};
 use diet_core::sed::{SedConfig, SedHandle, ServiceTable, SolveFn};
 use diet_core::transport::{Duplex, ServerConfig, TcpSedPool, TcpTransport};

@@ -17,9 +17,10 @@ use crate::data::{DietValue, Persistence};
 use crate::error::DietError;
 use crate::hierarchy::RemoteAgentClient;
 use crate::profile::Profile;
+use crate::retry::{Failure, Fault, Resubmit, Target};
 use crate::sed::{SedHandle, SolveOutcome};
 use crate::transport::TcpSedPool;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::Receiver;
 use obs::{Obs, TraceCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -129,13 +130,6 @@ impl RetryPolicy {
         let scale = 1.0 - self.jitter.clamp(0.0, 1.0) * unit;
         Duration::from_secs_f64(d.as_secs_f64() * scale)
     }
-}
-
-/// Is this failure worth resubmitting elsewhere? Transport losses and
-/// deadline expiries are; application-level failures (bad profile, solve
-/// status, unknown service) would fail identically on any server.
-fn is_retryable(e: &DietError) -> bool {
-    matches!(e, DietError::Transport(_) | DietError::Timeout { .. })
 }
 
 /// Did the attempt fail because a referenced grid-data item could not be
@@ -417,18 +411,14 @@ impl DietClient {
             profile,
             policy,
             |sed, profile, timeout, ctx| {
-                let rx = sed.submit_traced(profile, ctx)?;
-                match rx.recv_timeout(timeout) {
-                    Ok(outcome) => outcome
-                        .result
-                        .map(|p| (p, outcome.queue_wait, outcome.solve_time)),
-                    Err(RecvTimeoutError::Timeout) => Err(DietError::Timeout {
-                        after_secs: timeout.as_secs_f64(),
-                    }),
-                    Err(RecvTimeoutError::Disconnected) => {
-                        Err(DietError::Transport("SeD dropped the reply channel".into()))
-                    }
-                }
+                let handle = CallHandle {
+                    server: String::new(),
+                    issued: Instant::now(),
+                    stats: CallStats::default(),
+                    rx: sed.submit_traced(profile, ctx)?,
+                };
+                let (out, stats) = handle.wait_timeout(timeout)?;
+                Ok((out, stats.queue_wait, stats.solve))
             },
             |sed, id, value| {
                 if sed.store_data(id, value, Persistence::Persistent) {
@@ -488,123 +478,14 @@ impl DietClient {
         profile: Profile,
         policy: &RetryPolicy,
     ) -> Result<(Profile, CallStats), DietError> {
-        let tracer = &self.obs.tracer;
-        let m = &self.obs.metrics;
-        let m_requests = m.counter("diet_client_requests_total");
-        let m_failures = m.counter("diet_client_failures_total");
-        let m_resubmits = m.counter("diet_client_resubmissions_total");
-        let m_busy = m.counter("diet_client_busy_total");
-        let service = profile.service.clone();
-        let issued = Instant::now();
-        let trace_id = tracer.new_trace();
-        let mut excluded: Vec<String> = Vec::new();
-        let mut finding_total = 0.0;
-        let mut last_err: Option<DietError> = None;
-        for attempt_no in 0..=policy.max_retries {
-            if attempt_no > 0 {
-                std::thread::sleep(policy.backoff_jittered(attempt_no - 1, trace_id));
-                m_resubmits.inc();
-            }
-            let attempt_span = tracer.span(trace_id, 0, "attempt", "client");
-            let ctx = attempt_span.ctx();
-            let finding_start_ns = tracer.now_ns();
-            let t0 = Instant::now();
-            let label = match ma.submit(&service, &excluded, ctx) {
-                Ok(Some(label)) => label,
-                Ok(None) => {
-                    last_err = Some(DietError::NoServerAvailable(service.clone()));
-                    continue;
-                }
-                Err(e @ DietError::Busy) => {
-                    m_busy.inc();
-                    last_err = Some(e);
-                    continue;
-                }
-                Err(e) if is_retryable(&e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-                Err(e) => {
-                    m_failures.inc();
-                    return Err(e);
-                }
-            };
-            finding_total += t0.elapsed().as_secs_f64();
-            tracer.record_window(
-                trace_id,
-                attempt_span.id(),
-                "Finding",
-                "agents",
-                finding_start_ns,
-                tracer.now_ns(),
-            );
-            let submit_start_ns = tracer.now_ns();
-            let t1 = Instant::now();
-            match pool.call_traced(&label, profile.clone(), policy.attempt_timeout, ctx) {
-                Ok((out, queue_wait, solve)) => {
-                    let attempt_time = t1.elapsed().as_secs_f64();
-                    let send = (attempt_time - queue_wait - solve).max(0.0);
-                    tracer.record_window(
-                        trace_id,
-                        attempt_span.id(),
-                        "Submission",
-                        &label,
-                        submit_start_ns,
-                        submit_start_ns + (send * 1e9) as u64,
-                    );
-                    drop(attempt_span);
-                    let stats = CallStats {
-                        finding: finding_total,
-                        send,
-                        queue_wait,
-                        solve,
-                        total: issued.elapsed().as_secs_f64(),
-                        retries: attempt_no,
-                        trace_id,
-                    };
-                    m_requests.inc();
-                    m.histogram("diet_client_finding_seconds")
-                        .observe(stats.finding);
-                    m.histogram("diet_client_latency_seconds")
-                        .observe(stats.latency());
-                    m.histogram("diet_client_solve_seconds")
-                        .observe(stats.solve);
-                    m.histogram("diet_client_total_seconds")
-                        .observe(stats.total);
-                    self.history.lock().push((label.clone(), stats));
-                    return Ok((out, stats));
-                }
-                Err(e @ DietError::Busy) => {
-                    m_busy.inc();
-                    last_err = Some(e);
-                }
-                Err(e) if is_retryable(&e) => {
-                    // The sunk data-shipping time still leaves a footprint
-                    // in the trace; the label is blamed and excluded so the
-                    // resubmit must route elsewhere.
-                    tracer.record_window(
-                        trace_id,
-                        attempt_span.id(),
-                        "Submission",
-                        &label,
-                        submit_start_ns,
-                        tracer.now_ns(),
-                    );
-                    excluded.push(label);
-                    last_err = Some(e);
-                }
-                Err(e) => {
-                    m_failures.inc();
-                    return Err(e);
-                }
-            }
-        }
-        m_failures.inc();
-        Err(DietError::RetriesExhausted {
-            service,
-            attempts: policy.max_retries + 1,
-            last: last_err.map(|e| e.to_string()).unwrap_or_default(),
-        })
+        self.resubmit(
+            &profile,
+            policy,
+            |excluded, ctx| ma.submit(&profile.service, excluded, ctx),
+            |label: &String, ctx| {
+                Ok(pool.call_traced(label, profile.clone(), policy.attempt_timeout, ctx)?)
+            },
+        )
     }
 
     /// Ship a workflow DAG to a remote MA's engine. Returns immediately
@@ -668,14 +549,13 @@ impl DietClient {
         }
     }
 
-    /// The shared retry engine. `attempt` runs one bounded attempt against
-    /// the chosen SeD and returns `(out_profile, queue_wait, solve_time)`.
-    ///
-    /// Tracing: one trace id is allocated per logical call and reused across
-    /// every resubmission; each attempt gets its own `attempt` span (fresh
-    /// span id) that remote phases parent under via the [`TraceCtx`] handed
-    /// to the closure. `Finding` and `Submission` windows are recorded per
-    /// attempt so a failed attempt still leaves its footprint in the trace.
+    /// The in-process-MA half of [`call_with_retry`](Self::call_with_retry)
+    /// and [`call_over_tcp`](Self::call_over_tcp): finding goes through the
+    /// MA handle with the request's grid-data references (the locality
+    /// terms a data-aware scheduler minimizes), a blamed SeD is reported to
+    /// the MA, and a reference whose holders all vanished is repaired by
+    /// re-shipping the cached payload. `attempt` runs one bounded attempt
+    /// and returns `(out_profile, queue_wait, solve_time)`.
     fn retry_call(
         &self,
         profile: Profile,
@@ -689,140 +569,92 @@ impl DietClient {
         reship: impl Fn(&Arc<SedHandle>, &str, DietValue) -> Result<(), DietError>,
     ) -> Result<(Profile, CallStats), DietError> {
         let ma = self.ma()?;
-        let tracer = &self.obs.tracer;
-        let m = &self.obs.metrics;
-        let m_requests = m.counter("diet_client_requests_total");
-        let m_failures = m.counter("diet_client_failures_total");
-        let m_resubmits = m.counter("diet_client_resubmissions_total");
-        let m_reships = m.counter("diet_client_data_reships_total");
-        let m_busy = m.counter("diet_client_busy_total");
-        let service = profile.service.clone();
-        let issued = Instant::now();
-        let trace_id = tracer.new_trace();
-        // Grid-data references the request carries: the MA turns these into
-        // the locality terms a data-aware scheduler minimizes.
+        let m_reships = self.obs.metrics.counter("diet_client_data_reships_total");
         let data_ids = profile.data_ref_ids();
-        let mut excluded: Vec<String> = Vec::new();
-        let mut finding_total = 0.0;
-        let mut last_err: Option<DietError> = None;
-        for attempt_no in 0..=policy.max_retries {
-            if attempt_no > 0 {
-                std::thread::sleep(policy.backoff_jittered(attempt_no - 1, trace_id));
-                m_resubmits.inc();
-            }
-            let attempt_span = tracer.span(trace_id, 0, "attempt", "client");
-            let finding_start_ns = tracer.now_ns();
-            let t0 = Instant::now();
-            let sed = match ma.submit_with_data(&service, &data_ids, &excluded) {
-                Ok(sed) => sed,
-                Err(e) if attempt_no == 0 => {
-                    m_failures.inc();
-                    return Err(e);
-                }
-                Err(e) => {
-                    // Mid-retry the hierarchy ran out of candidates.
-                    m_failures.inc();
-                    return Err(DietError::RetriesExhausted {
-                        service,
-                        attempts: attempt_no,
-                        last: last_err.unwrap_or(e).to_string(),
-                    });
-                }
-            };
-            let finding_this = t0.elapsed().as_secs_f64();
-            finding_total += finding_this;
-            tracer.record_window(
-                trace_id,
-                attempt_span.id(),
-                "Finding",
-                "agents",
-                finding_start_ns,
-                tracer.now_ns(),
-            );
-            let ctx = attempt_span.ctx();
-            let submit_start_ns = tracer.now_ns();
-            let t1 = Instant::now();
-            match attempt(&sed, profile.clone(), policy.attempt_timeout, ctx) {
-                Ok((out, queue_wait, solve)) => {
-                    let attempt_time = t1.elapsed().as_secs_f64();
-                    let send = (attempt_time - queue_wait - solve).max(0.0);
-                    // Retroactive: the data-shipping slice of the attempt
-                    // window, excluding remote queueing and execution.
-                    tracer.record_window(
-                        trace_id,
-                        attempt_span.id(),
-                        "Submission",
-                        &sed.config.label,
-                        submit_start_ns,
-                        submit_start_ns + (send * 1e9) as u64,
-                    );
-                    drop(attempt_span);
-                    let stats = CallStats {
-                        finding: finding_total,
-                        send,
-                        queue_wait,
-                        solve,
-                        total: issued.elapsed().as_secs_f64(),
-                        retries: attempt_no,
-                        trace_id,
-                    };
-                    m_requests.inc();
-                    m.histogram("diet_client_finding_seconds")
-                        .observe(stats.finding);
-                    m.histogram("diet_client_latency_seconds")
-                        .observe(stats.latency());
-                    m.histogram("diet_client_solve_seconds")
-                        .observe(stats.solve);
-                    m.histogram("diet_client_total_seconds")
-                        .observe(stats.total);
-                    self.history.lock().push((sed.config.label.clone(), stats));
-                    return Ok((out, stats));
-                }
-                Err(e) if is_data_not_found(&e) && self.try_reship(&sed, &data_ids, &reship) => {
-                    // Every holder of a referenced item evicted it or died.
-                    // The SeD itself is healthy (no blame, no exclusion):
-                    // re-ship the cached payloads to it under their original
-                    // ids — re-hosted and re-published, the next attempt
-                    // finds them in the catalog again.
+        self.resubmit(
+            &profile,
+            policy,
+            |excluded, _| {
+                ma.submit_with_data(&profile.service, &data_ids, excluded)
+                    .map(Some)
+            },
+            |sed, ctx| match attempt(sed, profile.clone(), policy.attempt_timeout, ctx) {
+                Ok(done) => Ok(done),
+                // Every holder of a referenced item evicted it or died. The
+                // SeD itself is healthy: re-ship the cached payloads to it
+                // under their original ids — re-hosted and re-published, the
+                // next attempt finds them in the catalog again.
+                Err(error)
+                    if is_data_not_found(&error) && self.try_reship(sed, &data_ids, &reship) =>
+                {
                     m_reships.inc();
-                    last_err = Some(e);
-                }
-                Err(e @ DietError::Busy) => {
-                    // Admission control pushed back: the SeD is healthy, its
-                    // queue is just full. Back off (with jitter, so a herd of
-                    // rejected clients de-synchronises) and resubmit — but do
-                    // NOT blame the server or exclude it; by the next attempt
-                    // its queue may well have drained.
-                    m_busy.inc();
-                    last_err = Some(e);
-                }
-                Err(e) if is_retryable(&e) => {
-                    // A failed attempt still records its Submission window —
-                    // the time sunk shipping data to a SeD that never replied.
-                    tracer.record_window(
-                        trace_id,
-                        attempt_span.id(),
-                        "Submission",
-                        &sed.config.label,
-                        submit_start_ns,
-                        tracer.now_ns(),
-                    );
-                    ma.report_failure(&sed);
-                    excluded.push(sed.config.label.clone());
-                    last_err = Some(e);
+                    Err(Failure {
+                        fault: Fault::Backoff,
+                        error,
+                    })
                 }
                 Err(e) => {
-                    m_failures.inc();
-                    return Err(e);
+                    let failure = Failure::from(e);
+                    if failure.fault == Fault::Blame {
+                        ma.report_failure(sed);
+                    }
+                    Err(failure)
                 }
-            }
+            },
+        )
+    }
+
+    /// Run one logical call through the shared resubmission loop
+    /// ([`crate::retry`]) and book it into this session's `diet_client_*`
+    /// metrics and history. One trace id covers every attempt.
+    fn resubmit<T: Target>(
+        &self,
+        profile: &Profile,
+        policy: &RetryPolicy,
+        mut find: impl FnMut(&[String], TraceCtx) -> Result<Option<T>, DietError>,
+        mut attempt: impl FnMut(&T, TraceCtx) -> Result<(Profile, f64, f64), Failure>,
+    ) -> Result<(Profile, CallStats), DietError> {
+        let m = &self.obs.metrics;
+        let m_busy = m.counter("diet_client_busy_total");
+        let m_resubmits = m.counter("diet_client_resubmissions_total");
+        let trace_id = self.obs.tracer.new_trace();
+        let run = Resubmit {
+            policy,
+            tracer: &self.obs.tracer,
+            parent: TraceCtx {
+                trace_id,
+                parent_span: 0,
+            },
+            who: "client",
+            salt: trace_id,
+            excluded: Vec::new(),
         }
-        m_failures.inc();
-        Err(DietError::RetriesExhausted {
-            service,
-            attempts: policy.max_retries + 1,
-            last: last_err.map(|e| e.to_string()).unwrap_or_default(),
-        })
+        .run(
+            &profile.service,
+            |try_no, excluded, ctx| {
+                m_resubmits.add(u64::from(try_no > 0));
+                find(excluded, ctx).inspect_err(|e| m_busy.add(u64::from(*e == DietError::Busy)))
+            },
+            |target, ctx| {
+                attempt(target, ctx)
+                    .inspect_err(|f| m_busy.add(u64::from(f.error == DietError::Busy)))
+            },
+        );
+        let (target, out, stats) =
+            run.inspect_err(|_| m.counter("diet_client_failures_total").inc())?;
+        m.counter("diet_client_requests_total").inc();
+        m.histogram("diet_client_finding_seconds")
+            .observe(stats.finding);
+        m.histogram("diet_client_latency_seconds")
+            .observe(stats.latency());
+        m.histogram("diet_client_solve_seconds")
+            .observe(stats.solve);
+        m.histogram("diet_client_total_seconds")
+            .observe(stats.total);
+        self.history
+            .lock()
+            .push((target.label().to_string(), stats));
+        Ok((out, stats))
     }
 
     /// Record an async call's stats into the session history (callers of

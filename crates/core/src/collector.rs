@@ -229,7 +229,7 @@ pub fn serve_collector_over_tcp(
     if cfg.obs.is_none() {
         cfg.obs = Some(collector.obs.clone());
     }
-    TcpServer::spawn_framed(
+    TcpServer::spawn(
         addr,
         cfg,
         move |handle: &ConnHandle, msg: Message| match msg {

@@ -52,6 +52,7 @@ use crate::data::{DietValue, Persistence};
 use crate::error::DietError;
 use crate::profile::Profile;
 use crate::reactor::ConnHandle;
+use crate::retry::{classify, Fault};
 use crate::transport::TcpSedPool;
 use obs::TraceCtx;
 use parking_lot::{Mutex, RwLock};
@@ -308,6 +309,10 @@ struct DagRun {
     events: Vec<DagEventRec>,
     seq: u64,
     outcome: Option<DagOutcome>,
+    /// Expanders running with the lock released. Their source node is
+    /// already `Done` but their nodes are not inserted yet, so the dag is
+    /// not finished while this is non-zero.
+    expanding: usize,
 }
 
 impl DagRun {
@@ -334,7 +339,7 @@ impl DagRun {
     }
 
     fn finished(&self) -> bool {
-        self.nodes.values().all(|n| n.state.is_terminal())
+        self.expanding == 0 && self.nodes.values().all(|n| n.state.is_terminal())
     }
 
     /// Node ids whose deps are all `Done` and are still `Pending`.
@@ -383,6 +388,14 @@ impl DagRun {
             }
         }
         cancelled
+    }
+
+    /// Mark `node` failed and cancel everything downstream of it.
+    fn fail(&mut self, node: u32, detail: &str, m: &obs::Registry) {
+        self.set_state(node, DagNodeState::Failed, detail);
+        m.counter("diet_dag_node_failures_total").inc();
+        let cancelled = self.cancel_descendants(node);
+        m.counter("diet_dag_cancelled_total").add(cancelled as u64);
     }
 
     fn next_node_id(&self) -> u32 {
@@ -530,6 +543,7 @@ impl DagEngine {
             events: Vec::new(),
             seq: 0,
             outcome: None,
+            expanding: 0,
         }));
         self.dags.lock().insert(dag_id, run.clone());
         let m = &self.obs.metrics;
@@ -672,7 +686,7 @@ impl DagEngine {
             // ---- finding: place through the hierarchy --------------------
             let label = match self.ma.resolve(&canonical, &data_ids, &exclude, ctx) {
                 Ok(label) => label,
-                Err(DietError::Busy) => {
+                Err(e) if classify(&e) == Fault::Backoff => {
                     std::thread::sleep(self.cfg.busy_backoff);
                     continue;
                 }
@@ -721,17 +735,20 @@ impl DagEngine {
                     self.obs.tracer.now_ns(),
                 );
             }
-            match res {
+            let e = match res {
                 Ok((reply, _queue_wait, _solve)) => {
                     self.complete_node(run, node, &label, reply, started.elapsed());
                     return;
                 }
-                Err(DietError::Busy) => {
-                    self.unplace(run, node, &label);
+                Err(e) => e,
+            };
+            self.unplace(run, node, &label);
+            match classify(&e) {
+                Fault::Backoff => {
                     std::thread::sleep(self.cfg.busy_backoff);
                     continue;
                 }
-                Err(e @ (DietError::Transport(_) | DietError::Timeout { .. })) => {
+                Fault::Blame => {
                     // Blame the SeD like the client retry path does, so the
                     // heartbeat/deregistration machinery sees the fault.
                     if let Some(sed) = self
@@ -742,28 +759,20 @@ impl DagEngine {
                     {
                         self.ma.report_failure(&sed);
                     }
-                    self.unplace(run, node, &label);
-                    {
-                        let mut g = run.lock();
-                        if let Some(n) = g.nodes.get_mut(&node) {
-                            n.excluded.push(label.clone());
-                        }
+                    if let Some(n) = run.lock().nodes.get_mut(&node) {
+                        n.excluded.push(label.clone());
                     }
                     if may_retry {
                         m.counter("diet_dag_node_retries_total").inc();
                         continue;
                     }
-                    self.fail_node(run, node, &format!("{label}: {e}"));
-                    return;
                 }
-                Err(e) => {
-                    // Application-level rejection: the request was handled
-                    // and failed — resubmitting would repeat it.
-                    self.unplace(run, node, &label);
-                    self.fail_node(run, node, &format!("{label}: {e}"));
-                    return;
-                }
+                // Application-level rejection: the request was handled and
+                // failed — resubmitting would repeat it.
+                Fault::Fatal => {}
             }
+            self.fail_node(run, node, &format!("{label}: {e}"));
+            return;
         }
     }
 
@@ -804,6 +813,9 @@ impl DagEngine {
             let expander = n.spec.expander.clone();
             let params = n.spec.params.clone();
             let expand_job = expander.map(|name| (name, params, g.next_node_id(), g.id));
+            if expand_job.is_some() {
+                g.expanding += 1;
+            }
             g.set_state(node, DagNodeState::Done, label);
             (canonical, expand_job)
         };
@@ -815,14 +827,19 @@ impl DagEngine {
 
         // ---- dynamic fan-out ----------------------------------------------
         if let Some((name, params, next_id, dag_id)) = expand_job {
-            match self.expand(run, node, &name, &params, next_id, dag_id) {
+            let expanded = self.expand(run, node, &name, &params, next_id, dag_id);
+            let mut g = run.lock();
+            g.expanding -= 1;
+            match expanded {
                 Ok(new_nodes) => {
                     m.counter("diet_dag_nodes_total").add(new_nodes as u64);
                 }
                 Err(e) => {
                     // The fan-out source completed but its expansion is the
                     // dag's continuation — failing it fails the dag.
-                    self.fail_node(run, node, &format!("expand {name}: {e}"));
+                    g.fail(node, &format!("expand {name}: {e}"), m);
+                    drop(g);
+                    self.maybe_finish(run);
                     return;
                 }
             }
@@ -887,25 +904,27 @@ impl DagEngine {
         };
         let new_nodes = expander(&ctx)?;
         let mut g = run.lock();
-        let mut inserted = 0;
-        for spec in new_nodes {
-            if g.nodes.contains_key(&spec.id) {
-                return Err(DietError::Rejected(format!(
-                    "expander produced duplicate node id {}",
-                    spec.id
-                )));
-            }
-            let id = spec.id;
-            let nr = self.node_run(g.id, &spec);
-            g.nodes.insert(id, nr);
+        // All or nothing: a half-inserted expansion would strand nodes.
+        let mut ids = HashSet::new();
+        if let Some(dup) = new_nodes
+            .iter()
+            .find(|spec| g.nodes.contains_key(&spec.id) || !ids.insert(spec.id))
+        {
+            return Err(DietError::Rejected(format!(
+                "expander produced duplicate node id {}",
+                dup.id
+            )));
+        }
+        for spec in &new_nodes {
+            let nr = self.node_run(g.id, spec);
+            g.nodes.insert(spec.id, nr);
             g.push_event(
-                id,
+                spec.id,
                 DagNodeState::Pending,
                 format!("expanded from node {node}"),
             );
-            inserted += 1;
         }
-        Ok(inserted)
+        Ok(new_nodes.len())
     }
 
     fn fail_node(self: &Arc<Self>, run: &Arc<Mutex<DagRun>>, node: u32, detail: &str) {
@@ -916,10 +935,7 @@ impl DagEngine {
                 Some(n) if !n.state.is_terminal() => {}
                 _ => return,
             }
-            g.set_state(node, DagNodeState::Failed, detail);
-            m.counter("diet_dag_node_failures_total").inc();
-            let cancelled = g.cancel_descendants(node);
-            m.counter("diet_dag_cancelled_total").add(cancelled as u64);
+            g.fail(node, detail, m);
         }
         self.maybe_finish(run);
     }
@@ -1241,6 +1257,7 @@ mod tests {
             events: vec![],
             seq: 0,
             outcome: None,
+            expanding: 0,
         };
         run.set_state(0, DagNodeState::Failed, "boom");
         assert_eq!(run.cancel_descendants(0), 2);

@@ -73,7 +73,7 @@ pub fn serve_sed_over_tcp(sed: Arc<SedHandle>) -> Result<TcpServer, DietError> {
 
 /// [`serve_sed_over_tcp`] with explicit worker-pool sizing and fault hooks.
 ///
-/// Rides the readiness-driven serving core ([`TcpServer::spawn_framed`]):
+/// Rides the readiness-driven serving core ([`TcpServer::spawn`]):
 /// one reactor thread owns every connection, and complete frames are
 /// dispatched to the bounded worker pool. The path is **pipelined** end to
 /// end — a `Call` frame is admitted into the SeD's solve queue via
@@ -115,7 +115,7 @@ pub fn serve_sed_over_tcp_with_config(
     if cfg.obs.is_none() {
         cfg.obs = Some(sed.obs());
     }
-    TcpServer::spawn_framed("127.0.0.1:0", cfg, move |handle, msg| {
+    TcpServer::spawn("127.0.0.1:0", cfg, move |handle, msg| {
         match msg {
             Message::Call {
                 request_id,
@@ -507,7 +507,7 @@ pub fn serve_agent_over_tcp_at(
     if server_cfg.obs.is_none() {
         server_cfg.obs = Some(obs.clone());
     }
-    TcpServer::spawn_framed(addr, server_cfg, move |handle: &ConnHandle, msg| {
+    TcpServer::spawn(addr, server_cfg, move |handle: &ConnHandle, msg| {
         match msg {
             Message::Forward {
                 request_id,
@@ -527,8 +527,7 @@ pub fn serve_agent_over_tcp_at(
                     return;
                 }
                 // Collection blocks this dispatch worker while the subtree
-                // answers — concurrency stays bounded by `cfg.workers`,
-                // exactly the bound the pooled server had.
+                // answers — concurrency stays bounded by `cfg.workers`.
                 let t0 = obs.tracer.now_ns();
                 let estimates = node.estimates(&service, &exclude, ctx);
                 inflight.fetch_sub(1, Ordering::AcqRel);
@@ -627,7 +626,7 @@ fn serve_ma_inner(
     if server_cfg.obs.is_none() {
         server_cfg.obs = Some(obs.clone());
     }
-    TcpServer::spawn_framed(addr, server_cfg, move |handle: &ConnHandle, msg| {
+    TcpServer::spawn(addr, server_cfg, move |handle: &ConnHandle, msg| {
         match msg {
             Message::Submit {
                 service,

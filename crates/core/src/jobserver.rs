@@ -46,10 +46,12 @@ use crate::dag::WorkflowSpec;
 use crate::error::DietError;
 use crate::hierarchy::RemoteAgentClient;
 use crate::profile::Profile;
+use crate::retry::{classify, Fault, Resubmit};
 use crate::transport::{Duplex, MuxConn, ServerConfig, TcpSedPool, TcpServer, TcpTransport};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use obs::Obs;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -1588,108 +1590,66 @@ impl JobServer {
         span.end();
     }
 
-    /// One dispatch round for a plain call: resolve via the MA, solve via
-    /// the pool, with in-round retries per the policy — the distributed
-    /// `call_with_retry`, minus the parts the store owns (the cross-round
-    /// budget and the requeue).
+    /// One dispatch round for a plain call: the shared resubmission loop
+    /// ([`crate::retry`]) resolving via the MA and solving via the pool,
+    /// plus the parts the store owns — dead machines pre-excluded, each
+    /// attempt logged as a dispatch before the call, the outcome logged
+    /// against the claim, and the cross-round budget and requeue.
     fn run_call(&self, claim: &PoppedTask, profile: Profile, ctx: obs::TraceCtx) {
         let policy = &self.cfg.retry;
-        let mut excluded = self.machines.dead_labels();
-        let mut prior: Option<u32> = None;
-        let mut last_err = String::from("no attempt made");
         let started = Instant::now();
-        for try_no in 0..=policy.max_retries {
-            if self.stop.load(Ordering::SeqCst) {
-                return; // the claim replays as in-flight on restart
-            }
-            if try_no > 0 {
-                std::thread::sleep(
-                    policy.backoff_jittered(try_no - 1, ctx.trace_id ^ claim.task_id),
-                );
-            }
-            let label = match self.ma.submit(&profile.service, &excluded, ctx) {
-                Ok(Some(l)) => l,
-                Ok(None) => {
-                    last_err = "no server available".into();
-                    continue;
-                }
-                Err(DietError::Busy) => {
-                    last_err = "hierarchy busy".into();
-                    continue;
-                }
-                Err(e) if is_retryable(&e) => {
-                    last_err = format!("finding: {e}");
-                    continue;
-                }
-                Err(e) => {
-                    self.store.fail(
-                        claim.campaign_id,
-                        claim.task_id,
-                        claim.epoch,
-                        &format!("finding rejected: {e}"),
-                        self.cfg.max_task_attempts,
-                        true,
-                    );
-                    return;
-                }
-            };
-            self.machines.observe(&label);
-            let Some(attempt) =
-                self.store
-                    .dispatched(claim.campaign_id, claim.task_id, claim.epoch, prior, &label)
-            else {
-                return; // claim went stale (heartbeat requeued us)
-            };
-            prior = Some(attempt);
-            let t0 = Instant::now();
-            match self
-                .pool
-                .call_traced(&label, profile.clone(), policy.attempt_timeout, ctx)
-            {
-                Ok((_out, _queue_wait, _solve)) => {
-                    self.store.complete(
-                        claim.campaign_id,
-                        claim.task_id,
-                        claim.epoch,
-                        attempt,
-                        &label,
-                        t0.elapsed().as_millis() as u64,
-                    );
-                    self.obs
-                        .metrics
-                        .histogram("diet_jobserver_dispatch_ms")
-                        .observe(started.elapsed().as_millis() as f64);
-                    return;
-                }
-                Err(DietError::Busy) => {
-                    last_err = format!("{label} busy");
-                    // Back off without blaming the (healthy) server.
-                }
-                Err(e) if is_retryable(&e) => {
-                    last_err = format!("{label}: {e}");
-                    excluded.push(label);
-                }
-                Err(e) => {
-                    self.store.fail(
-                        claim.campaign_id,
-                        claim.task_id,
-                        claim.epoch,
-                        &format!("{label} rejected: {e}"),
-                        self.cfg.max_task_attempts,
-                        true,
-                    );
-                    return;
-                }
-            }
+        // Set when the claim must be dropped without an outcome: the server
+        // is stopping (the claim replays as in-flight on restart) or the
+        // heartbeat requeued it under us (the claim went stale).
+        let abandoned = Cell::new(false);
+        let abandon = |why: &str| {
+            abandoned.set(true);
+            DietError::Rejected(why.to_string())
+        };
+        let mut prior: Option<u32> = None;
+        let run = Resubmit {
+            policy,
+            tracer: &self.obs.tracer,
+            parent: ctx,
+            who: "jobserver",
+            salt: ctx.trace_id ^ claim.task_id,
+            excluded: self.machines.dead_labels(),
         }
-        self.store.fail(
-            claim.campaign_id,
-            claim.task_id,
-            claim.epoch,
-            &last_err,
-            self.cfg.max_task_attempts,
-            false,
+        .run(
+            &profile.service,
+            |_, excluded, ctx| {
+                if self.stop.load(Ordering::SeqCst) {
+                    return Err(abandon("jobserver stopping"));
+                }
+                self.ma.submit(&profile.service, excluded, ctx)
+            },
+            |label: &String, ctx| {
+                self.machines.observe(label);
+                let attempt = self
+                    .store
+                    .dispatched(claim.campaign_id, claim.task_id, claim.epoch, prior, label)
+                    .ok_or_else(|| abandon("claim went stale"))?;
+                prior = Some(attempt);
+                Ok(self
+                    .pool
+                    .call_traced(label, profile.clone(), policy.attempt_timeout, ctx)?)
+            },
         );
+        match run {
+            _ if abandoned.get() => {}
+            Ok((label, _, stats)) => {
+                let ms = (stats.send + stats.queue_wait + stats.solve) * 1e3;
+                self.complete(claim, prior.unwrap_or_default(), &label, ms as u64);
+                self.obs
+                    .metrics
+                    .histogram("diet_jobserver_dispatch_ms")
+                    .observe(started.elapsed().as_millis() as f64);
+            }
+            // The round's budget is spent; the store decides whether the
+            // task's budget allows another round.
+            Err(DietError::RetriesExhausted { last, .. }) => self.fail(claim, &last, false),
+            Err(e) => self.fail(claim, &format!("rejected: {e}"), true),
+        }
     }
 
     /// A DAG payload: admit the workflow into the MA's engine and poll to
@@ -1705,83 +1665,45 @@ impl JobServer {
         let dag_id = match self.ma.submit_dag(&spec, ctx) {
             Ok(id) => id,
             Err(e) => {
-                let terminal = !is_retryable(&e) && !matches!(e, DietError::Busy);
-                self.store.fail(
-                    claim.campaign_id,
-                    claim.task_id,
-                    claim.epoch,
-                    &format!("dag admit: {e}"),
-                    self.cfg.max_task_attempts,
-                    terminal,
-                );
-                return;
+                let terminal = classify(&e) == Fault::Fatal;
+                return self.fail(claim, &format!("dag admit: {e}"), terminal);
             }
         };
         let t0 = Instant::now();
         let mut since = 0u64;
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return;
-            }
+        while !self.stop.load(Ordering::SeqCst) {
             if t0.elapsed() > self.cfg.dag_timeout {
-                self.store.fail(
-                    claim.campaign_id,
-                    claim.task_id,
-                    claim.epoch,
-                    "dag timed out",
-                    self.cfg.max_task_attempts,
-                    false,
-                );
-                return;
+                return self.fail(claim, "dag timed out", false);
             }
             match self.ma.dag_status(dag_id, since) {
-                Ok((events, outcome)) => {
-                    if let Some(last) = events.last() {
-                        since = last.seq;
-                    }
-                    if let Some(o) = outcome {
-                        if o.ok {
-                            self.store.complete(
-                                claim.campaign_id,
-                                claim.task_id,
-                                claim.epoch,
-                                attempt,
-                                "dag",
-                                o.makespan_ms,
-                            );
-                        } else {
-                            self.store.fail(
-                                claim.campaign_id,
-                                claim.task_id,
-                                claim.epoch,
-                                "dag failed",
-                                self.cfg.max_task_attempts,
-                                true,
-                            );
-                        }
-                        return;
-                    }
+                Ok((_, Some(o))) if o.ok => {
+                    return self.complete(claim, attempt, "dag", o.makespan_ms);
                 }
-                Err(e) if is_retryable(&e) || matches!(e, DietError::Busy) => {}
-                Err(e) => {
-                    self.store.fail(
-                        claim.campaign_id,
-                        claim.task_id,
-                        claim.epoch,
-                        &format!("dag poll: {e}"),
-                        self.cfg.max_task_attempts,
-                        true,
-                    );
-                    return;
+                Ok((_, Some(_))) => return self.fail(claim, "dag failed", true),
+                Ok((events, None)) => since = events.last().map_or(since, |e| e.seq),
+                Err(e) if classify(&e) == Fault::Fatal => {
+                    return self.fail(claim, &format!("dag poll: {e}"), true);
                 }
+                Err(_) => {}
             }
             std::thread::sleep(self.cfg.dag_poll);
         }
     }
-}
 
-fn is_retryable(e: &DietError) -> bool {
-    matches!(e, DietError::Transport(_) | DietError::Timeout { .. })
+    /// Log a successful outcome against `claim` (stale claims change
+    /// nothing).
+    fn complete(&self, claim: &PoppedTask, attempt: u32, sed: &str, ms: u64) {
+        let (cid, tid) = (claim.campaign_id, claim.task_id);
+        self.store.complete(cid, tid, claim.epoch, attempt, sed, ms);
+    }
+
+    /// Log a failed outcome against `claim`; unless `terminal`, the task
+    /// is requeued while its budget lasts.
+    fn fail(&self, claim: &PoppedTask, note: &str, terminal: bool) {
+        let (cid, tid, budget) = (claim.campaign_id, claim.task_id, self.cfg.max_task_attempts);
+        self.store
+            .fail(cid, tid, claim.epoch, note, budget, terminal);
+    }
 }
 
 // ------------------------------------------------------------------ serving
@@ -1795,7 +1717,7 @@ pub fn serve_jobserver_over_tcp(
     cfg: ServerConfig,
 ) -> Result<TcpServer, DietError> {
     let obs = js.obs.clone();
-    TcpServer::spawn_framed(addr, cfg, move |h, msg| {
+    TcpServer::spawn(addr, cfg, move |h, msg| {
         let reply = match msg {
             Message::SubmitTasks {
                 request_id,

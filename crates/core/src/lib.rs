@@ -72,6 +72,7 @@ pub mod naming;
 pub mod probe;
 pub mod profile;
 pub mod reactor;
+mod retry;
 pub mod sched;
 pub mod sed;
 pub mod telemetry;

@@ -670,6 +670,11 @@ impl ReactorShared {
     pub fn connections(&self) -> usize {
         self.conn_count.load(Ordering::Acquire)
     }
+
+    /// Frames answered `Busy` because the dispatch queue was full.
+    pub fn busy_rejections(&self) -> u64 {
+        self.metrics.busy_rejections.get()
+    }
 }
 
 const TOK_LISTENER: u64 = 0;
@@ -694,7 +699,6 @@ pub(crate) fn spawn(
     listener: TcpListener,
     cfg: ServerConfig,
     handler: Handler,
-    busy_rejections: Arc<AtomicU64>,
 ) -> Result<Arc<ReactorShared>, DietError> {
     listener
         .set_nonblocking(true)
@@ -751,7 +755,6 @@ pub(crate) fn spawn(
         next_token: TOK_FIRST_CONN,
         work_tx,
         depth,
-        busy: busy_rejections,
         faults: cfg.faults.clone(),
         accepting: true,
         events: Vec::new(),
@@ -771,7 +774,6 @@ struct Reactor {
     /// Occupancy of the bounded dispatch channel (inc on send, dec on
     /// worker receive).
     depth: Arc<AtomicU64>,
-    busy: Arc<AtomicU64>,
     faults: Option<Arc<crate::faults::FaultPlan>>,
     accepting: bool,
     events: Vec<Event>,
@@ -957,7 +959,6 @@ impl Reactor {
                     // are dropped — Busy{0} would poison the peer's whole
                     // mux connection — but the drop is counted, not silent.
                     self.depth.fetch_sub(1, Ordering::Relaxed);
-                    self.busy.fetch_add(1, Ordering::Relaxed);
                     self.shared.metrics.busy_rejections.inc();
                     let rid = peek_request_id(&frame);
                     if rid != 0 {

@@ -9,25 +9,21 @@
 //! * [`TcpTransport`] — `std::net::TcpStream` with `[u32 length][payload]`
 //!   frames.
 //!
-//! Server side, [`TcpServer`] runs in one of two modes: the legacy pooled
-//! mode (`spawn`/`spawn_with_config`) hands each accepted connection to a
-//! worker thread for its lifetime — simple, and what the blocking-handler
-//! tests exercise — while the framed mode ([`TcpServer::spawn_framed`])
-//! multiplexes every connection through the readiness-driven
-//! [`reactor`](crate::reactor), so idle connections cost a buffer instead
-//! of a thread. The live hierarchy serving path rides the framed mode.
+//! Server side, [`TcpServer::spawn`] multiplexes every connection through
+//! the readiness-driven [`reactor`](crate::reactor), so an idle connection
+//! costs a buffer instead of a thread, and handlers see complete,
+//! already-decoded frames.
 
 use crate::codec::{decode_message, encode_message, Message};
 use crate::error::DietError;
 use crate::profile::Profile;
-use crate::reactor::{self, ConnHandle, FrameBuf, Poller, ReactorShared, Waker};
+use crate::reactor::{self, ConnHandle, FrameBuf, ReactorShared};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -167,9 +163,9 @@ impl TcpTransport {
     }
 
     /// Sever the socket in both directions. `shutdown` acts on the socket
-    /// itself, not this handle, so clones of the stream (e.g. a server's
-    /// kill list) can't keep it half-open: the peer observes EOF
-    /// immediately instead of waiting out its read deadline.
+    /// itself, not this handle, so clones of the stream can't keep it
+    /// half-open: the peer observes EOF immediately instead of waiting out
+    /// its read deadline.
     pub fn shutdown(&self) {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
@@ -278,14 +274,11 @@ pub fn bind_with_retry(
 /// Sizing and fault hooks for a [`TcpServer`].
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Worker threads serving accepted connections. A connection occupies
-    /// a worker for its lifetime (one pooled multiplexed connection per
-    /// client carries many in-flight requests, so this bounds concurrent
-    /// *clients*, not concurrent requests).
+    /// Dispatch threads running the handler on complete frames.
     pub workers: usize,
-    /// Accepted connections waiting for a free worker. When this queue is
-    /// full the server replies `Busy` (request id 0) and closes — explicit
-    /// backpressure instead of an unbounded thread spray.
+    /// Complete frames waiting for a free worker. When this queue is full
+    /// the reactor answers `Busy` echoing the frame's request id —
+    /// explicit backpressure instead of an unbounded backlog.
     pub accept_queue: usize,
     /// Optional fault injection consulted by the accept loop
     /// (`accept_delay`); per-request faults stay with the SeD's own plan.
@@ -307,55 +300,27 @@ impl Default for ServerConfig {
     }
 }
 
-/// A TCP acceptor feeding a bounded worker pool.
-///
-/// The earlier implementation spawned an unbounded OS thread per
-/// connection; under load the serving layer saturated long before the
-/// hardware did. Now a fixed pool of `workers` threads drains an explicit
-/// admission queue of `accept_queue` accepted connections, and overflow is
-/// answered with a [`Message::Busy`] frame (request id 0) so clients back
-/// off instead of piling up. Returns the bound local address (useful with
-/// port 0) and a guard whose drop stops accepting. [`TcpServer::kill`]
-/// additionally severs every live connection — the failure-injection hook
-/// that simulates a host crash for fault-tolerance tests.
+/// The readiness-driven TCP server: one [`reactor`](crate::reactor) thread
+/// owns the listener and every accepted socket, and a bounded pool of
+/// `workers` threads runs the handler on complete frames. A full dispatch
+/// queue answers [`Message::Busy`] echoing the frame's request id, so
+/// clients back off instead of piling up. Holds the bound local address
+/// (useful with port 0); dropping the server stops accepting.
+/// [`TcpServer::kill`] additionally severs every live connection — the
+/// failure-injection hook that simulates a host crash for fault-tolerance
+/// tests.
 pub struct TcpServer {
     pub local_addr: std::net::SocketAddr,
-    busy_rejections: Arc<AtomicU64>,
-    inner: ServerInner,
-}
-
-enum ServerInner {
-    /// Thread-per-connection pool: a worker owns each accepted socket for
-    /// its whole lifetime. Kept for blocking handlers (tests, simple
-    /// echo-style services).
-    Pooled {
-        stop: Arc<AtomicBool>,
-        waker: Arc<Waker>,
-        /// Live connections by id, for `kill` — pruned when the serving
-        /// worker finishes with the socket (the pre-reactor version pushed
-        /// into a `Vec` on accept and never removed, so a long-running
-        /// server leaked one stream clone per connection ever accepted).
-        conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
-    },
-    /// Readiness-driven reactor: see [`crate::reactor`].
-    Framed { reactor: Arc<ReactorShared> },
+    reactor: Arc<ReactorShared>,
 }
 
 impl TcpServer {
-    /// Spawn with the default pool sizing ([`ServerConfig::default`]).
+    /// Spawn the serving core: one reactor thread owns the listener and
+    /// every accepted socket; `cfg.workers` dispatch threads run `handler`
+    /// on complete, already-decoded frames. The handler must not block on
+    /// the peer — replies go through [`ConnHandle::send`], which queues
+    /// them for the reactor to flush on writability.
     pub fn spawn(
-        addr: impl ToSocketAddrs + Clone,
-        handler: impl Fn(TcpTransport) + Send + Sync + 'static,
-    ) -> Result<Self, DietError> {
-        Self::spawn_with_config(addr, ServerConfig::default(), handler)
-    }
-
-    /// Spawn the readiness-driven serving core: one reactor thread owns the
-    /// listener and every accepted socket; `cfg.workers` dispatch threads
-    /// run `handler` on complete, already-decoded frames. The handler must
-    /// not block on the peer — replies go through [`ConnHandle::send`],
-    /// which queues them for the reactor to flush on writability.
-    pub fn spawn_framed(
         addr: impl ToSocketAddrs + Clone,
         cfg: ServerConfig,
         handler: impl Fn(&ConnHandle, Message) + Send + Sync + 'static,
@@ -364,174 +329,33 @@ impl TcpServer {
         let local_addr = listener
             .local_addr()
             .map_err(|e| DietError::Transport(format!("local_addr: {e}")))?;
-        let busy_rejections = Arc::new(AtomicU64::new(0));
-        let reactor = reactor::spawn(listener, cfg, Arc::new(handler), busy_rejections.clone())?;
+        let reactor = reactor::spawn(listener, cfg, Arc::new(handler))?;
         Ok(TcpServer {
             local_addr,
-            busy_rejections,
-            inner: ServerInner::Framed { reactor },
-        })
-    }
-
-    /// Spawn the pooled (thread-per-connection) server with explicit
-    /// worker-pool sizing and fault hooks.
-    pub fn spawn_with_config(
-        addr: impl ToSocketAddrs + Clone,
-        cfg: ServerConfig,
-        handler: impl Fn(TcpTransport) + Send + Sync + 'static,
-    ) -> Result<Self, DietError> {
-        let listener = bind_with_retry(addr, 5)?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| DietError::Transport(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| DietError::Transport(format!("set_nonblocking: {e}")))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let waker =
-            Arc::new(Waker::new().map_err(|e| DietError::Transport(format!("waker: {e}")))?);
-        let mut poller = Poller::new().map_err(|e| DietError::Transport(format!("poller: {e}")))?;
-        poller
-            .add(listener.as_raw_fd(), 0, true, false)
-            .and_then(|_| poller.add(waker.fd(), 1, true, false))
-            .map_err(|e| DietError::Transport(format!("poller register: {e}")))?;
-        let handler = std::sync::Arc::new(handler);
-        let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::new(Mutex::new(HashMap::new()));
-        let busy_rejections = Arc::new(AtomicU64::new(0));
-
-        // Admission queue: accepted sockets waiting for a worker.
-        let (work_tx, work_rx) = bounded::<(u64, TcpStream)>(cfg.accept_queue.max(1));
-        for _ in 0..cfg.workers.max(1) {
-            let rx = work_rx.clone();
-            let h = handler.clone();
-            let worker_conns = conns.clone();
-            std::thread::spawn(move || {
-                // Exits when the acceptor drops its sender and the queue
-                // drains.
-                while let Ok((id, stream)) = rx.recv() {
-                    let sock = stream.try_clone().ok();
-                    h(TcpTransport::from_stream(stream));
-                    // The kill list holds a clone of this stream, so
-                    // dropping the transport alone would leave the socket
-                    // open and the peer blocked on a read that can never
-                    // complete — sever it explicitly, then prune the entry
-                    // so the list tracks live connections only.
-                    if let Some(s) = sock {
-                        let _ = s.shutdown(std::net::Shutdown::Both);
-                    }
-                    worker_conns.lock().remove(&id);
-                }
-            });
-        }
-
-        let accept_conns = conns.clone();
-        let accept_busy = busy_rejections.clone();
-        let accept_stop = stop.clone();
-        let accept_waker = waker.clone();
-        std::thread::spawn(move || {
-            // Readiness-driven accept: the thread parks in `poller.wait`
-            // until the listener has a pending connection or the waker is
-            // poked at stop — no sleep-poll, no accept latency floor.
-            let mut events = Vec::new();
-            let mut next_id: u64 = 0;
-            'acceptor: loop {
-                events.clear();
-                if poller.wait(&mut events, -1).is_err() {
-                    break;
-                }
-                if accept_stop.load(Ordering::Acquire) {
-                    break;
-                }
-                for ev in &events {
-                    if ev.token == 1 {
-                        accept_waker.drain();
-                        continue;
-                    }
-                    loop {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                if let Some(d) = cfg.faults.as_ref().and_then(|f| f.accept_delay())
-                                {
-                                    std::thread::sleep(d);
-                                }
-                                stream.set_nonblocking(false).ok();
-                                let id = next_id;
-                                next_id += 1;
-                                if let Ok(clone) = stream.try_clone() {
-                                    accept_conns.lock().insert(id, clone);
-                                }
-                                if let Err(full) = work_tx.try_send((id, stream)) {
-                                    // Queue full: explicit backpressure.
-                                    // Tell the client before closing so it
-                                    // backs off rather than timing out.
-                                    accept_busy.fetch_add(1, Ordering::Relaxed);
-                                    accept_conns.lock().remove(&id);
-                                    let stream = match full {
-                                        crossbeam::channel::TrySendError::Full((_, s))
-                                        | crossbeam::channel::TrySendError::Disconnected((_, s)) => {
-                                            s
-                                        }
-                                    };
-                                    let t = TcpTransport::from_stream(stream);
-                                    let _ = t.send(&Message::Busy { request_id: 0 });
-                                    t.shutdown();
-                                }
-                            }
-                            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                            Err(_) => break 'acceptor,
-                        }
-                    }
-                }
-            }
-            // Dropping work_tx lets idle workers exit once the queue drains.
-        });
-        Ok(TcpServer {
-            local_addr,
-            busy_rejections,
-            inner: ServerInner::Pooled { stop, waker, conns },
+            reactor,
         })
     }
 
     pub fn stop(&self) {
-        match &self.inner {
-            ServerInner::Pooled { stop, waker, .. } => {
-                stop.store(true, Ordering::Release);
-                waker.wake();
-            }
-            ServerInner::Framed { reactor } => reactor.request_stop(),
-        }
+        self.reactor.request_stop();
     }
 
-    /// Connections refused with `Busy` because the admission queue was full.
+    /// Frames refused with `Busy` because the dispatch queue was full.
     pub fn busy_rejections(&self) -> u64 {
-        self.busy_rejections.load(Ordering::Relaxed)
+        self.reactor.busy_rejections()
     }
 
-    /// Live connections the server currently tracks. In pooled mode this is
-    /// the kill list (pruned as workers finish); in framed mode it is the
-    /// reactor's registered-socket count. Either way it must track actual
-    /// live peers, not every connection ever accepted.
+    /// Live connections the reactor currently has registered — actual
+    /// peers, not every connection ever accepted.
     pub fn tracked_connections(&self) -> usize {
-        match &self.inner {
-            ServerInner::Pooled { conns, .. } => conns.lock().len(),
-            ServerInner::Framed { reactor } => reactor.connections(),
-        }
+        self.reactor.connections()
     }
 
     /// Simulate a crash: stop accepting and sever every live connection.
     /// In-flight requests on this server are lost, exactly as when the
     /// paper's Grid'5000 nodes died mid-campaign.
     pub fn kill(&self) {
-        match &self.inner {
-            ServerInner::Pooled { conns, .. } => {
-                self.stop();
-                for (_, s) in conns.lock().drain() {
-                    let _ = s.shutdown(std::net::Shutdown::Both);
-                }
-            }
-            ServerInner::Framed { reactor } => reactor.request_kill(),
-        }
+        self.reactor.request_kill();
     }
 }
 
@@ -594,13 +418,6 @@ impl MuxConn {
         let demux = inner.clone();
         std::thread::spawn(move || loop {
             match demux.transport.recv() {
-                Ok(Message::Busy { request_id: 0 }) => {
-                    // Connection-level rejection: the server's admission
-                    // queue was full before any request was read. Every
-                    // waiter backs off.
-                    demux.poison(DietError::Busy);
-                    break;
-                }
                 Ok(msg) => {
                     let rid = match &msg {
                         Message::CallReply { request_id, .. } => *request_id,
@@ -708,9 +525,9 @@ impl Drop for MuxConn {
 /// and waits for the [`Message::CallReply`] echoing its correlation id, so
 /// any number of threads pipeline over one stream. A timed-out request
 /// merely abandons its waiter (the connection survives); a stream error
-/// marks the connection dead and the next call redials. A `Busy` reply —
-/// per-request or connection-level — surfaces as [`DietError::Busy`], the
-/// caller's cue to back off without striking the (healthy) server.
+/// marks the connection dead and the next call redials. A `Busy` reply
+/// surfaces as [`DietError::Busy`], the caller's cue to back off without
+/// striking the (healthy) server.
 #[derive(Default)]
 pub struct TcpSedPool {
     endpoints: RwLock<HashMap<String, SocketAddr>>,
@@ -1015,16 +832,22 @@ mod tests {
         assert!(a.recv().is_err());
     }
 
+    /// A server that sends every frame straight back.
+    fn echo_server() -> TcpServer {
+        TcpServer::spawn("127.0.0.1:0", ServerConfig::default(), |h, m| {
+            let _ = h.send(&m);
+        })
+        .unwrap()
+    }
+
     #[test]
     fn tcp_roundtrip_and_echo() {
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
-            while let Ok(m) = conn.recv() {
-                match m {
-                    Message::Ping => conn.send(&Message::Pong).unwrap(),
-                    Message::Shutdown => break,
-                    other => conn.send(&other).unwrap(),
-                }
-            }
+        let server = TcpServer::spawn("127.0.0.1:0", ServerConfig::default(), |h, m| {
+            let reply = match m {
+                Message::Ping => Message::Pong,
+                other => other,
+            };
+            h.send(&reply).unwrap();
         })
         .unwrap();
 
@@ -1040,16 +863,12 @@ mod tests {
         };
         client.send(&m).unwrap();
         assert_eq!(client.recv().unwrap(), m);
-        client.send(&Message::Shutdown).unwrap();
     }
 
     #[test]
     fn tcp_timeout_returns_none() {
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
-            // Never answer; just hold the connection open long enough.
-            let _ = conn.recv_timeout(Duration::from_millis(300));
-        })
-        .unwrap();
+        // Never answers; the connection stays open.
+        let server = TcpServer::spawn("127.0.0.1:0", ServerConfig::default(), |_, _| {}).unwrap();
         let client = TcpTransport::connect(server.local_addr).unwrap();
         let r = client.recv_timeout(Duration::from_millis(30)).unwrap();
         assert!(r.is_none());
@@ -1129,12 +948,7 @@ mod tests {
     fn tcp_configured_max_frame_is_enforced() {
         // A frame one byte over the configured limit is rejected; the limit
         // itself is fine.
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
-            if let Ok(m) = conn.recv() {
-                let _ = conn.send(&m);
-            }
-        })
-        .unwrap();
+        let server = echo_server();
         let big = Message::CallReply {
             request_id: 1,
             queue_wait: 0.0,
@@ -1151,15 +965,7 @@ mod tests {
 
     #[test]
     fn tcp_server_kill_severs_live_connections() {
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
-            // Echo until the connection dies.
-            while let Ok(m) = conn.recv() {
-                if conn.send(&m).is_err() {
-                    break;
-                }
-            }
-        })
-        .unwrap();
+        let server = echo_server();
         let client = TcpTransport::connect(server.local_addr).unwrap();
         client.send(&Message::Ping).unwrap();
         assert_eq!(client.recv().unwrap(), Message::Ping);
@@ -1180,33 +986,32 @@ mod tests {
         // A miniature data server: PutData retains, GetData serves.
         let dm = Arc::new(DataManager::new());
         let server_dm = dm.clone();
-        let server = TcpServer::spawn("127.0.0.1:0", move |conn| {
-            while let Ok(m) = conn.recv() {
-                match m {
-                    Message::PutData {
+        let server = TcpServer::spawn("127.0.0.1:0", ServerConfig::default(), move |h, m| {
+            let reply = match m {
+                Message::PutData {
+                    request_id,
+                    id,
+                    mode,
+                    value,
+                } => {
+                    server_dm.retain(&id, value, mode);
+                    Message::DataReply {
                         request_id,
                         id,
-                        mode,
-                        value,
-                    } => {
-                        server_dm.retain(&id, value, mode);
-                        let _ = conn.send(&Message::DataReply {
-                            request_id,
-                            id,
-                            result: Ok((DietValue::Null, mode)),
-                        });
+                        result: Ok((DietValue::Null, mode)),
                     }
-                    Message::GetData { request_id, id } => {
-                        let result = server_dm.get_with_mode(&id).map_err(|e| e.to_string());
-                        let _ = conn.send(&Message::DataReply {
-                            request_id,
-                            id,
-                            result,
-                        });
-                    }
-                    _ => break,
                 }
-            }
+                Message::GetData { request_id, id } => {
+                    let result = server_dm.get_with_mode(&id).map_err(|e| e.to_string());
+                    Message::DataReply {
+                        request_id,
+                        id,
+                        result,
+                    }
+                }
+                _ => return,
+            };
+            let _ = h.send(&reply);
         })
         .unwrap();
         let pool = TcpSedPool::new();
@@ -1239,12 +1044,7 @@ mod tests {
     fn tcp_max_frame_applies_to_data_replies() {
         // Mirror of `tcp_configured_max_frame_is_enforced` for the new data
         // frames: an oversized DataReply is rejected by the length check.
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
-            if let Ok(m) = conn.recv() {
-                let _ = conn.send(&m);
-            }
-        })
-        .unwrap();
+        let server = echo_server();
         let big = Message::DataReply {
             request_id: 1,
             id: "ic".into(),
@@ -1267,25 +1067,24 @@ mod tests {
         // A server that batches two calls and answers them in REVERSE
         // order: only correlation-id routing can hand each caller its own
         // reply. The pool must pipeline both calls down one connection.
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
-            let mut batch = Vec::new();
-            while let Ok(m) = conn.recv() {
-                if let Message::Call {
-                    request_id,
-                    profile,
-                    ..
-                } = m
-                {
-                    batch.push((request_id, profile));
-                    if batch.len() == 2 {
-                        for (rid, p) in batch.drain(..).rev() {
-                            let _ = conn.send(&Message::CallReply {
-                                request_id: rid,
-                                queue_wait: 0.0,
-                                solve: 0.0,
-                                result: Ok(p),
-                            });
-                        }
+        let batch = Mutex::new(Vec::new());
+        let server = TcpServer::spawn("127.0.0.1:0", ServerConfig::default(), move |h, m| {
+            if let Message::Call {
+                request_id,
+                profile,
+                ..
+            } = m
+            {
+                let mut batch = batch.lock();
+                batch.push((request_id, profile));
+                if batch.len() == 2 {
+                    for (rid, p) in batch.drain(..).rev() {
+                        let _ = h.send(&Message::CallReply {
+                            request_id: rid,
+                            queue_wait: 0.0,
+                            solve: 0.0,
+                            result: Ok(p),
+                        });
                     }
                 }
             }
@@ -1329,24 +1128,22 @@ mod tests {
         // later replies correctly — no eviction, no desync.
         let hits = Arc::new(AtomicU64::new(0));
         let server_hits = hits.clone();
-        let server = TcpServer::spawn("127.0.0.1:0", move |conn| {
-            while let Ok(m) = conn.recv() {
-                if let Message::Call {
-                    request_id,
-                    profile,
-                    ..
-                } = m
-                {
-                    if server_hits.fetch_add(1, Ordering::Relaxed) == 0 {
-                        continue; // swallow the first request
-                    }
-                    let _ = conn.send(&Message::CallReply {
-                        request_id,
-                        queue_wait: 0.0,
-                        solve: 0.0,
-                        result: Ok(profile),
-                    });
+        let server = TcpServer::spawn("127.0.0.1:0", ServerConfig::default(), move |h, m| {
+            if let Message::Call {
+                request_id,
+                profile,
+                ..
+            } = m
+            {
+                if server_hits.fetch_add(1, Ordering::Relaxed) == 0 {
+                    return; // swallow the first request
                 }
+                let _ = h.send(&Message::CallReply {
+                    request_id,
+                    queue_wait: 0.0,
+                    solve: 0.0,
+                    result: Ok(profile),
+                });
             }
         })
         .unwrap();
@@ -1366,35 +1163,37 @@ mod tests {
 
     #[test]
     fn server_rejects_with_busy_when_admission_queue_full() {
-        // One worker occupied forever + a single queue slot: the third
-        // connection must be told Busy (request id 0) instead of hanging.
+        // One worker parked on the first call + a single queue slot taken by
+        // the second: the third in-flight call must be told Busy, echoing
+        // its own request id, instead of hanging.
         let cfg = ServerConfig {
             workers: 1,
             accept_queue: 1,
             faults: None,
             obs: None,
         };
-        let server = TcpServer::spawn_with_config("127.0.0.1:0", cfg, |conn| {
-            // Hold the worker until the connection dies.
-            while conn.recv().is_ok() {}
+        let (parked_tx, parked) = bounded::<()>(1);
+        let (_release, release) = bounded::<()>(0);
+        let server = TcpServer::spawn("127.0.0.1:0", cfg, move |_, _| {
+            let _ = parked_tx.try_send(());
+            let _ = release.recv();
         })
         .unwrap();
-        let held = TcpTransport::connect(server.local_addr).unwrap();
-        // Let the worker dequeue `held` before the next connection arrives
-        // (on a single-CPU host the worker may otherwise not be scheduled
-        // until after the acceptor has processed every pending connect, in
-        // which case the Busy would land on `_queued` instead).
-        std::thread::sleep(Duration::from_millis(150));
-        let _queued = TcpTransport::connect(server.local_addr).unwrap();
-        // And let the acceptor park `_queued` in the admission queue.
-        std::thread::sleep(Duration::from_millis(150));
-        let rejected = TcpTransport::connect(server.local_addr).unwrap();
-        match rejected.recv_timeout(Duration::from_secs(2)) {
-            Ok(Some(Message::Busy { request_id: 0 })) => {}
-            other => panic!("expected Busy(0), got {other:?}"),
+        let call = |request_id| Message::Call {
+            request_id,
+            ctx: obs::TraceCtx::default(),
+            profile: Profile::alloc(&crate::profile::ProfileDesc::alloc("noop", -1, -1, 0)),
+        };
+        let client = TcpTransport::connect(server.local_addr).unwrap();
+        client.send(&call(1)).unwrap();
+        parked.recv_timeout(Duration::from_secs(2)).unwrap();
+        client.send(&call(2)).unwrap();
+        client.send(&call(3)).unwrap();
+        match client.recv_timeout(Duration::from_secs(2)) {
+            Ok(Some(Message::Busy { request_id: 3 })) => {}
+            other => panic!("expected Busy(3), got {other:?}"),
         }
         assert!(server.busy_rejections() >= 1);
-        drop(held);
     }
 
     #[test]
@@ -1405,12 +1204,7 @@ mod tests {
 
     #[test]
     fn tcp_large_file_payload() {
-        let server = TcpServer::spawn("127.0.0.1:0", |conn| {
-            if let Ok(m) = conn.recv() {
-                conn.send(&m).unwrap();
-            }
-        })
-        .unwrap();
+        let server = echo_server();
         let client = TcpTransport::connect(server.local_addr).unwrap();
         let desc = crate::profile::ramses_zoom1_desc();
         let mut p = crate::profile::Profile::alloc(&desc);

@@ -370,3 +370,110 @@ fn client_disconnect_cancels_unplaced_nodes() {
 
     d.shutdown();
 }
+
+/// Wait for the dag's outcome through the engine handle.
+fn await_outcome(d: &diet_core::deploy::TcpDeployment, dag_id: u64) -> diet_core::DagOutcome {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(o) = d.dag.outcome(dag_id) {
+            return o;
+        }
+        assert!(Instant::now() < deadline, "dag never reached an outcome");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// The expander runs with the run lock released after its source node is
+/// already `Done`. While it runs every node present is terminal, yet the
+/// dag must not finalize: the monitor sweep used to close it `ok` with
+/// none of the expanded nodes.
+#[test]
+fn dag_waits_for_an_expansion_in_flight() {
+    let d = two_sed_topology()
+        .deploy(Arc::new(RoundRobin::new()), |_| {
+            straggler_table(Arc::new(AtomicBool::new(false)), Duration::ZERO)
+        })
+        .unwrap();
+    let (entered_tx, entered) = crossbeam::channel::bounded::<()>(1);
+    let (release, release_rx) = crossbeam::channel::bounded::<()>(1);
+    d.dag.register_expander(
+        "blocking",
+        Arc::new(move |ctx| {
+            entered_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+            let mut child = work_node(ctx.next_id, 5);
+            child.deps = vec![ctx.node];
+            Ok(vec![child, work_node(ctx.next_id + 1, 6)])
+        }),
+    );
+    let mut root = work_node(0, 1);
+    root.expander = Some("blocking".into());
+    let spec = WorkflowSpec {
+        name: "slow-fanout".into(),
+        nodes: vec![root],
+    };
+    let dag_id = d.dag.submit(spec, TraceCtx::default(), None).unwrap();
+
+    entered.recv_timeout(Duration::from_secs(10)).unwrap();
+    // Well over three monitor sweeps with the expansion parked.
+    std::thread::sleep(Duration::from_millis(200));
+    assert!(
+        d.dag.outcome(dag_id).is_none(),
+        "dag finalized while its expansion was in flight"
+    );
+
+    release.send(()).unwrap();
+    let outcome = await_outcome(&d, dag_id);
+    assert!(outcome.ok, "{outcome:?}");
+    assert_eq!(
+        outcome.nodes.len(),
+        3,
+        "expanded nodes missing: {outcome:?}"
+    );
+    for (n, want) in outcome.nodes.iter().zip([2, 10, 12]) {
+        assert!(
+            n.scalars.contains(&(1, want)),
+            "node {}: {:?}",
+            n.node,
+            n.scalars
+        );
+    }
+
+    d.shutdown();
+}
+
+/// An expander error fails its source node (already `Done`) and so the
+/// dag, cancelling what waited downstream.
+#[test]
+fn failed_expansion_fails_the_dag() {
+    let d = two_sed_topology()
+        .deploy(Arc::new(RoundRobin::new()), |_| {
+            straggler_table(Arc::new(AtomicBool::new(false)), Duration::ZERO)
+        })
+        .unwrap();
+    d.dag.register_expander(
+        "broken",
+        Arc::new(|_| Err(diet_core::DietError::Rejected("no halos".into()))),
+    );
+    let mut root = work_node(0, 1);
+    root.expander = Some("broken".into());
+    let mut tail = work_node(1, 2);
+    tail.deps = vec![0];
+    let spec = WorkflowSpec {
+        name: "broken-fanout".into(),
+        nodes: vec![root, tail],
+    };
+    let dag_id = d.dag.submit(spec, TraceCtx::default(), None).unwrap();
+    let outcome = await_outcome(&d, dag_id);
+    assert!(!outcome.ok, "{outcome:?}");
+    assert_eq!(outcome.cancelled, 1, "{outcome:?}");
+    let (events, _) = d.dag.status(dag_id, 0).unwrap();
+    assert!(
+        events
+            .iter()
+            .any(|e| e.node == 0 && e.state == DagNodeState::Failed),
+        "{events:?}"
+    );
+
+    d.shutdown();
+}

@@ -11,13 +11,13 @@
 
 use cosmogrid::namelist::default_run_namelist;
 use cosmogrid::services::{
-    cosmology_service_table, namelist_value, serve_sed_over_tcp, status, zoom2_profile,
-    zoom2_profile_ref,
+    cosmology_service_table, namelist_value, status, zoom2_profile, zoom2_profile_ref,
 };
 use diet_core::agent::{AgentNode, HeartbeatMonitor, MasterAgent};
 use diet_core::client::{DietClient, RetryPolicy};
 use diet_core::codec::{encode_message, Message};
 use diet_core::data::Persistence;
+use diet_core::hierarchy::serve_sed_over_tcp;
 use diet_core::sched::DataLocal;
 use diet_core::sed::{SedConfig, SedHandle};
 use diet_core::transport::TcpSedPool;

@@ -4,8 +4,9 @@
 //! protocol (`Call` / `CallReply`) through `TcpTransport`.
 
 use cosmogrid::namelist::default_run_namelist;
-use cosmogrid::services::{cosmology_service_table, serve_sed_over_tcp, status, zoom1_profile};
+use cosmogrid::services::{cosmology_service_table, status, zoom1_profile};
 use diet_core::codec::Message;
+use diet_core::hierarchy::serve_sed_over_tcp;
 use diet_core::sed::{SedConfig, SedHandle};
 use diet_core::transport::{Duplex, TcpServer, TcpTransport};
 use std::sync::Arc;
