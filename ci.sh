@@ -90,11 +90,13 @@ stage_lint() {
 stage_determinism() {
     # The full simulation and solver stack must be bitwise-identical at 1
     # and 4 threads (the tests also sweep widths in-process via
-    # ThreadPool::install). Plus the kernel-scaling smoke: reduced sweep,
-    # validates the JSON artifact and cross-thread-count checksums.
+    # ThreadPool::install), and the driver must follow the two-solve
+    # reference stepper bit for bit at both widths. Plus the kernel-scaling
+    # smoke: reduced sweep, validates the JSON artifact and
+    # cross-thread-count checksums.
     (set -x
-     RAYON_NUM_THREADS=1 cargo test -q -p ramses --test determinism_threads
-     RAYON_NUM_THREADS=4 cargo test -q -p ramses --test determinism_threads
+     RAYON_NUM_THREADS=1 cargo test -q -p ramses --test determinism_threads --test step_equivalence
+     RAYON_NUM_THREADS=4 cargo test -q -p ramses --test determinism_threads --test step_equivalence
      cargo run --release -p bench --bin exp_kernel_scaling -- --quick)
 }
 

@@ -23,11 +23,14 @@
 //! * [`gravity`] — particle-mesh force evaluation and the kick-drift-kick
 //!   leapfrog integrator with cosmological (comoving) factors.
 //! * [`amr`] — the adaptive octree: quasi-Lagrangian refinement on particle
-//!   count, 2:1 balance, Peano–Hilbert ordered leaf enumeration.
+//!   count, 2:1 balance, Peano–Hilbert ordered leaf enumeration. An analysis
+//!   structure built on demand; the time step does not build one.
 //! * [`hydro`] — a second-order (MUSCL–Hancock) finite-volume Euler solver
 //!   with HLL/HLLC Riemann solvers, as the gas component.
 //! * [`nbody`] — the top-level [`nbody::Simulation`] driver: takes GRAFIC
-//!   initial conditions, advances them, writes snapshots.
+//!   initial conditions, advances them, writes snapshots. Each step
+//!   evaluates the force once, after the drift, and carries it into the
+//!   next step's opening kick.
 //! * [`io`] — Fortran-record-style binary snapshot files, as produced by the
 //!   original code and consumed by the GALICS post-processing chain.
 //!

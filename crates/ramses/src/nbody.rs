@@ -1,16 +1,18 @@
 //! Top-level simulation driver.
 //!
 //! Mirrors the RAMSES run loop the paper's services execute: read initial
-//! conditions (single-level or zoom), advance dark matter with the PM/AMR
-//! machinery from `a_init` to `a_end`, and emit snapshots at a prescribed
-//! list of expansion factors — "Given a list of time steps (or expansion
-//! factor), RAMSES outputs the current state of the universe".
+//! conditions (single-level or zoom), advance dark matter with the PM force
+//! (plus the optional refined patch) from `a_init` to `a_end`, and emit
+//! snapshots at a prescribed list of expansion factors — "Given a list of
+//! time steps (or expansion factor), RAMSES outputs the current state of the
+//! universe".
 
-use crate::amr::{AmrParams, Octree};
+use crate::amr::AmrParams;
 use crate::cosmology::Cosmology;
-use crate::gravity::{drift, kick, PmGravity, StepControl};
+use crate::gravity::{drift, kick, ForceField, PmGravity, StepControl};
 use crate::hydro::{HydroGrid, Prim, Riemann, GAMMA_DEFAULT};
 use crate::particles::{cic_deposit, Particles};
+use crate::refine::{select_patch, RefinedPatch};
 use crate::units::Units;
 use grafic::CosmoParams;
 use rayon::prelude::*;
@@ -65,7 +67,8 @@ pub struct RunParams {
     pub a_end: f64,
     /// Expansion factors at which to dump snapshots (sorted ascending).
     pub aout: Vec<f64>,
-    /// AMR refinement parameters.
+    /// Octree refinement parameters for analysis trees built on demand (see
+    /// [`crate::amr`]); the step itself builds no tree.
     pub amr: AmrParams,
     /// Step controller.
     pub steps: StepControl,
@@ -106,19 +109,31 @@ pub struct Snapshot {
     pub units: Units,
 }
 
-/// Per-step diagnostics the monitoring layer can sample.
+/// Diagnostics of one completed step, appended to [`Simulation::stats`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepStats {
+    /// Expansion factor at the end of the step.
     pub a: f64,
     pub dt: f64,
+    /// Densest cell of the PM density mesh at the start of the step (it sets
+    /// the free-fall timestep bound).
     pub rho_max: f64,
-    pub amr_max_level: u32,
-    pub n_leaves: usize,
     /// Particles that received the refined (fine-patch) force this step.
     pub n_refined: usize,
 }
 
+/// The force on the particles as they stand: per-particle accelerations
+/// (refined ones included) and the densest cell of the mesh they came from.
+struct Force {
+    acc: Vec<[f64; 3]>,
+    rho_max: f64,
+}
+
 /// The simulation state machine.
+///
+/// `parts` and `a` are advanced only by [`Simulation::advance_step`]: each
+/// step carries its closing force into the next one instead of solving for
+/// it again, which is exact only while nothing else changes them.
 pub struct Simulation {
     pub params: RunParams,
     pub cosmo: Cosmology,
@@ -129,7 +144,11 @@ pub struct Simulation {
     pub a: f64,
     pub step: usize,
     pub stats: Vec<StepStats>,
+    /// Index of the next `params.aout` entry not yet reached.
     next_out: usize,
+    /// The force on the current `parts` at the current `a`; `None` until the
+    /// first step evaluates it.
+    force: Option<Force>,
 }
 
 impl Simulation {
@@ -165,6 +184,7 @@ impl Simulation {
             step: 0,
             stats: Vec::new(),
             next_out: 0,
+            force: None,
         }
     }
 
@@ -177,17 +197,21 @@ impl Simulation {
     }
 
     /// Advance one KDK step; returns the new expansion factor.
+    ///
+    /// The step never crosses the next output time in `params.aout`, and
+    /// moves past every output it reaches, so stepping from outside stops at
+    /// the same expansion factors as [`Simulation::run`].
     pub fn advance_step(&mut self) -> f64 {
-        let field = self.gravity.field(&self.parts, &self.cosmo, self.a);
-        // Parallel max is exact, so this cannot perturb the timestep.
-        let rho_max = field
-            .rho
-            .data
-            .par_iter()
-            .with_min_len(1024)
-            .map(|&v| v)
-            .reduce(|| 0.0f64, f64::max);
-        let acc = self.gravity.accelerations(&self.parts, &field);
+        // The force on the current state: the previous step's closing force
+        // (the last half-kick changes velocities only, and the field depends
+        // on positions and `a`), evaluated here only on the first step.
+        let Force { acc, rho_max } = match self.force.take() {
+            Some(force) => force,
+            None => {
+                let field = self.gravity.field(&self.parts, &self.cosmo, self.a);
+                self.force_of(&field, self.a).0
+            }
+        };
 
         let mut dt = self.params.steps.dt(
             &self.parts,
@@ -207,19 +231,19 @@ impl Simulation {
             }
         }
         if dt <= 0.0 {
+            self.force = Some(Force { acc, rho_max });
             return self.a;
         }
 
         // KICK (half), DRIFT (full), refresh a, KICK (half).
-        let (acc, _n0) = self.refined_acc(acc, &field, self.a);
         kick(&mut self.parts, &acc, self.a, dt / 2.0);
         let a_mid = self.cosmo.a_of_t(t_now + dt / 2.0);
         drift(&mut self.parts, a_mid, dt);
         let a_new = self.cosmo.a_of_t(t_now + dt);
         let field2 = self.gravity.field(&self.parts, &self.cosmo, a_new);
-        let acc2 = self.gravity.accelerations(&self.parts, &field2);
-        let (acc2, n_refined) = self.refined_acc(acc2, &field2, a_new);
-        kick(&mut self.parts, &acc2, a_new, dt / 2.0);
+        let (force2, n_refined) = self.force_of(&field2, a_new);
+        kick(&mut self.parts, &force2.acc, a_new, dt / 2.0);
+        self.force = Some(force2);
 
         // Gas: Godunov sweeps over the comoving interval (the same dt/a²
         // "drift" time the particles see), sub-cycled to the hydro CFL, then
@@ -240,52 +264,58 @@ impl Simulation {
 
         self.a = a_new;
         self.step += 1;
-
-        // AMR diagnostics (the tree also drives refinement-aware timesteps
-        // through rho_max; a full per-level sub-cycling is out of scope).
-        let tree = Octree::build(&self.parts, self.params.amr);
+        while self.next_out < self.params.aout.len()
+            && self.a >= self.params.aout[self.next_out] - 1e-9
+        {
+            self.next_out += 1;
+        }
         self.stats.push(StepStats {
             a: self.a,
             dt,
             rho_max,
-            amr_max_level: tree.max_level_present(),
-            n_leaves: tree.leaves().len(),
             n_refined,
         });
         self.a
     }
 
-    /// Replace base-mesh accelerations with fine-patch values for particles
-    /// inside the refinement region (when enabled and triggered). Returns
-    /// the (possibly modified) accelerations and the refined-particle count.
-    fn refined_acc(
-        &self,
-        mut acc: Vec<[f64; 3]>,
-        field: &crate::gravity::ForceField,
-        a: f64,
-    ) -> (Vec<[f64; 3]>, usize) {
-        let Some(threshold) = self.params.refine_overdensity else {
-            return (acc, 0);
-        };
-        let Some((corner, extent)) = crate::refine::select_patch(&field.rho, threshold) else {
-            return (acc, 0);
-        };
-        let patch = crate::refine::RefinedPatch::solve(
-            corner,
-            extent,
-            &field.phi,
-            &self.parts,
-            self.cosmo.poisson_factor(a),
-            &self.gravity.mg,
-        );
-        let mut n = 0;
-        for (i, pos) in self.parts.pos.iter().enumerate() {
-            if let Some(fine) = patch.accel(*pos) {
-                acc[i] = fine;
-                n += 1;
+    /// The force `field` exerts on the current particles at expansion
+    /// factor `a`: base-mesh accelerations, replaced by fine-patch values
+    /// inside the refinement region when enabled and triggered. Also
+    /// returns the refined-particle count.
+    fn force_of(&self, field: &ForceField, a: f64) -> (Force, usize) {
+        // Parallel max is exact, so this cannot perturb the timestep.
+        let rho_max = field
+            .rho
+            .data
+            .par_iter()
+            .with_min_len(1024)
+            .map(|&v| v)
+            .reduce(|| 0.0f64, f64::max);
+        let mut acc = self.gravity.accelerations(&self.parts, field);
+        let patch = self
+            .params
+            .refine_overdensity
+            .and_then(|threshold| select_patch(&field.rho, threshold))
+            .map(|(corner, extent)| {
+                RefinedPatch::solve(
+                    corner,
+                    extent,
+                    &field.phi,
+                    &self.parts,
+                    self.cosmo.poisson_factor(a),
+                    &self.gravity.mg,
+                )
+            });
+        let mut n_refined = 0;
+        if let Some(patch) = patch {
+            for (i, pos) in self.parts.pos.iter().enumerate() {
+                if let Some(fine) = patch.accel(*pos) {
+                    acc[i] = fine;
+                    n_refined += 1;
+                }
             }
         }
-        (acc, n)
+        (Force { acc, rho_max }, n_refined)
     }
 
     /// Run to completion, returning snapshots at the requested expansion
@@ -293,16 +323,14 @@ impl Simulation {
     pub fn run(&mut self) -> Vec<Snapshot> {
         let mut snaps = Vec::new();
         while self.a < self.params.a_end - 1e-12 && self.step < self.params.max_steps {
-            let a_prev = self.a;
+            let (a_prev, out_prev) = (self.a, self.next_out);
             self.advance_step();
             if self.a <= a_prev {
                 break; // dt collapsed to zero
             }
-            while self.next_out < self.params.aout.len()
-                && self.a >= self.params.aout[self.next_out] - 1e-9
-            {
+            // One snapshot per output the step reached.
+            for _ in out_prev..self.next_out {
                 snaps.push(self.snapshot());
-                self.next_out += 1;
             }
         }
         // Final state snapshot if not already captured.
@@ -540,13 +568,48 @@ mod tests {
     }
 
     #[test]
+    fn stepping_from_outside_stops_at_every_output() {
+        // Two intermediate outputs: each must clamp the step that would
+        // cross it, whether `run` or an outside loop drives the steps.
+        let params = RunParams {
+            aout: vec![0.13, 0.17],
+            ..small_params()
+        };
+        let ics = small_ics(11);
+        let mut by_run = Simulation::from_ics(params.clone(), &ics);
+        by_run.run();
+        let mut stepped = Simulation::from_ics(params, &ics);
+        let mut reached = Vec::new();
+        while stepped.a < stepped.params.a_end - 1e-12 {
+            let a_prev = stepped.a;
+            stepped.advance_step();
+            assert!(stepped.a > a_prev, "step stalled at a = {a_prev}");
+            reached.push(stepped.a);
+        }
+        for out in [0.13, 0.17] {
+            assert!(
+                reached.iter().any(|&a| (a - out).abs() < 1e-9),
+                "no step ended at output a = {out}"
+            );
+        }
+        assert_eq!(stepped.step, by_run.step);
+        assert_eq!(stepped.a.to_bits(), by_run.a.to_bits());
+        for (p, q) in stepped.parts.pos.iter().zip(&by_run.parts.pos) {
+            assert_eq!(p.map(f64::to_bits), q.map(f64::to_bits));
+        }
+        for (v, w) in stepped.parts.vel.iter().zip(&by_run.parts.vel) {
+            assert_eq!(v.map(f64::to_bits), w.map(f64::to_bits));
+        }
+    }
+
+    #[test]
     fn stats_recorded_each_step() {
         let ics = small_ics(6);
         let mut sim = Simulation::from_ics(small_params(), &ics);
         sim.run();
         assert_eq!(sim.stats.len(), sim.step);
         for s in &sim.stats {
-            assert!(s.dt > 0.0 && s.n_leaves > 0);
+            assert!(s.dt > 0.0);
         }
     }
 }

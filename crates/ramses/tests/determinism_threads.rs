@@ -62,7 +62,7 @@ fn poisson_solve_bitwise_identical_across_thread_counts() {
     }
 }
 
-fn run_params(gas: Option<GasParams>) -> RunParams {
+fn run_params(gas: Option<GasParams>, refine_overdensity: Option<f64>) -> RunParams {
     let cosmo = CosmoParams {
         a_init: 0.1,
         ..CosmoParams::default()
@@ -73,12 +73,13 @@ fn run_params(gas: Option<GasParams>) -> RunParams {
         a_end: 0.2,
         aout: vec![0.15],
         gas,
+        refine_overdensity,
         ..RunParams::default()
     }
 }
 
-fn run_sim(gas: Option<GasParams>) -> Simulation {
-    let params = run_params(gas);
+fn run_sim(gas: Option<GasParams>, refine_overdensity: Option<f64>) -> Simulation {
+    let params = run_params(gas, refine_overdensity);
     let ics = grafic::generate_single_level(&params.cosmo, 8, params.box_mpc_h, 42).particles;
     let mut sim = Simulation::from_ics(params, &ics);
     sim.run();
@@ -132,18 +133,31 @@ fn assert_sim_bits_eq(a: &Simulation, b: &Simulation, threads: usize) {
 
 #[test]
 fn dm_simulation_bitwise_identical_across_thread_counts() {
-    let base = at_threads(1, || run_sim(None));
+    let base = at_threads(1, || run_sim(None, None));
     for threads in [2, 4] {
-        let other = at_threads(threads, || run_sim(None));
+        let other = at_threads(threads, || run_sim(None, None));
         assert_sim_bits_eq(&base, &other, threads);
     }
 }
 
 #[test]
 fn gas_simulation_bitwise_identical_across_thread_counts() {
-    let base = at_threads(1, || run_sim(Some(GasParams::default())));
+    let base = at_threads(1, || run_sim(Some(GasParams::default()), None));
     for threads in [2, 4] {
-        let other = at_threads(threads, || run_sim(Some(GasParams::default())));
+        let other = at_threads(threads, || run_sim(Some(GasParams::default()), None));
+        assert_sim_bits_eq(&base, &other, threads);
+    }
+}
+
+#[test]
+fn refined_simulation_bitwise_identical_across_thread_counts() {
+    // The densest cell passes 1.5 from a ≈ 0.17, so the closing steps take
+    // the fine-patch force, which each step carries into the next.
+    let base = at_threads(1, || run_sim(None, Some(1.5)));
+    let refined: usize = base.stats.iter().map(|s| s.n_refined).sum();
+    assert!(refined > 0, "refinement never triggered");
+    for threads in [2, 4] {
+        let other = at_threads(threads, || run_sim(None, Some(1.5)));
         assert_sim_bits_eq(&base, &other, threads);
     }
 }
